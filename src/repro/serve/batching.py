@@ -13,8 +13,9 @@ This engine recovers the batch efficiency *across* requests:
 * A single **scheduler thread** drains the queue: it takes the oldest
   request, then keeps pulling until it has ``max_batch`` rows or
   ``max_wait_ms`` has elapsed since the batch opened — the classic dynamic
-  batching window (arrivals during the window ride along for free; an idle
-  queue never waits).
+  batching window.  Arrivals during the window ride along for free, but the
+  window is paid whenever a batch is short of ``max_batch`` rows: a lone
+  request always waits the full ``max_wait_ms`` before it runs.
 * The coalesced rows run as **one fused no-grad forward** through the shared
   :class:`~repro.serve.InferenceSession`, and the output is demuxed back
   onto the per-request futures by row offset.
@@ -248,8 +249,9 @@ class QueuedEngine(ServingEngine):
         closes.
 
         Returns the assembled batch plus a shutdown flag (a ``close`` arrived
-        mid-collection).  Arrivals during the window ride along for free; an
-        idle queue never waits.
+        mid-collection).  Arrivals during the window ride along for free; only
+        a full batch runs before the deadline, so a lone request waits the
+        whole window.
         """
         batch = [first]
         rows = first.rows
@@ -350,9 +352,9 @@ class BatchedEngine(QueuedEngine):
         Row budget per fused forward (default: the session's ``max_batch``).
         A single oversized request still runs — the session chunks it.
     max_wait_ms:
-        How long an *open* batch waits for more rows before running.  This
-        is latency spent only when the queue goes empty mid-batch; a deep
-        queue fills batches without waiting.
+        How long an *open* batch waits for more rows before running.  Every
+        batch short of ``max_batch`` rows pays the whole window, a lone
+        request included; only a deep queue fills batches without waiting.
     queue_size:
         Bound on queued requests; beyond it ``submit`` raises
         :class:`QueueFull` so overload surfaces as backpressure.

@@ -107,6 +107,12 @@ class PredictionHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/2.1"
     protocol_version = "HTTP/1.1"
+    # Each response leaves in one buffered write (the stdlib flushes wfile
+    # after every request and on every early exit) on a TCP_NODELAY socket.
+    # Unbuffered headers-then-body is two segments, and Nagle holds the body
+    # until the client's delayed ACK: ~40 ms per keep-alive response.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
 
@@ -144,17 +150,18 @@ class PredictionHandler(BaseHTTPRequestHandler):
         Replying while unread body bytes sit on a keep-alive connection would
         make the next request parse as garbage, so every body is drained up
         front.  Oversized/undeclared bodies are the one case we refuse to
-        drain — close the connection instead.
+        drain — close the connection instead, and say so in the response.
         """
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
         except ValueError:
             length = -1
         if length < 0 or length > MAX_REQUEST_BYTES:
-            self.close_connection = True
+            # The header also sets close_connection: the body stays unread.
             self._send_json(400, {"error": f"Content-Length {self.headers.get('Content-Length')!r} "
                                            f"is invalid or exceeds the "
-                                           f"{MAX_REQUEST_BYTES}-byte limit"})
+                                           f"{MAX_REQUEST_BYTES}-byte limit"},
+                            headers={"Connection": "close"})
             return None
         return self.rfile.read(length) if length else b""
 

@@ -1,7 +1,9 @@
 """Process-pool execution layer for experiment sweeps.
 
 The subsystem has four small parts, composed by the experiment runner and the
-per-model grids inside individual experiments:
+per-model grids inside individual experiments (plus
+:mod:`~repro.parallel.supervisor`, the one supervisor for the long-lived
+worker fleets of the pool engine and the data-parallel trainer):
 
 * :mod:`~repro.parallel.executor` — :func:`run_tasks` maps a list of
   :class:`Task` descriptions over a ``ProcessPoolExecutor`` (or inline when

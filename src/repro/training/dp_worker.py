@@ -8,14 +8,11 @@ path (``workers=1``) runs the identical code on the identical arrays — that
 shared function is what makes worker-count a pure execution detail with no
 numerical footprint.
 
-Wire protocol (mirrors :mod:`repro.serve.pool`):
-
-* first message ``("ready", info)`` after a successful model build, or
-  ``("fatal", message, traceback)`` when the spec cannot be built;
-* receive ``("step", state_dict, inputs, targets, training)`` →
-  send ``("ok", result)`` or ``("error", message, traceback)`` (the model
-  raised; the worker itself is fine and keeps serving);
-* receive ``("stop",)`` → exit cleanly.
+The handshake, seeding, command loop and shutdown are the shared worker
+supervisor's (:mod:`repro.parallel.supervisor`; see "Worker supervisor" in
+ARCHITECTURE.md).  This worker answers one command:
+``("step", state_dict, inputs, targets, training)`` → the shard result of
+:func:`compute_shard_gradients`.
 
 Every ``step`` message carries the parent's full ``state_dict`` — the
 authoritative parameter broadcast.  Workers hold no training state between
@@ -26,13 +23,9 @@ in-flight step on a fresh process with zero drift.
 
 from __future__ import annotations
 
-import os
-import traceback
-
 import numpy as np
 
-from ..parallel.seeding import derive_seed, seed_task_globals
-from ..parallel.worker import DEPTH_ENV
+from ..parallel.supervisor import run_worker
 from ..tensor import Tensor
 
 __all__ = ["loss_spec_of", "build_sum_loss", "compute_shard_gradients",
@@ -124,52 +117,23 @@ def worker_main(rank: int, conn, config: dict) -> None:
 
     Builds the model architecture once from ``config["model_spec"]`` (the
     parameters are overwritten by every ``step`` message) and the summed
-    loss from ``config["loss_spec"]``, then answers step requests until told
-    to stop.  Seeded with ``derive_seed(seed, "train-dp", rank)`` and depth-
-    tagged via ``REPRO_PARALLEL_DEPTH`` so nothing inside the model can
-    recursively fan out.
+    loss from ``config["loss_spec"]``, then serves step requests through
+    the shared worker loop, seeded with ``derive_seed(seed, "train-dp",
+    rank)``.
     """
-    os.environ[DEPTH_ENV] = str(config.get("depth", 1))
-    seed = derive_seed(config.get("seed", 0), "train-dp", rank)
-    seed_task_globals(seed)
-    try:
+    def setup():
         import repro.models  # noqa: F401 — populates the model registry
         from ..models.registry import build_from_spec
 
         model = build_from_spec(config["model_spec"])
         sum_loss_fn, weight_fn = build_sum_loss(config["loss_spec"])
-    except BaseException as error:  # noqa: BLE001 — reported, not raised
-        try:
-            conn.send(("fatal", f"{type(error).__name__}: {error}",
-                       traceback.format_exc()))
-        finally:
-            conn.close()
-        return
-    conn.send(("ready", {
-        "pid": os.getpid(),
-        "rank": rank,
-        "seed": seed,
-        "depth": int(os.environ[DEPTH_ENV]),
-    }))
-    try:
-        while True:
-            command = conn.recv()
-            if command[0] == "stop":
-                break
-            try:
-                if command[0] == "step":
-                    _, state, inputs, targets, training = command
-                    model.load_state_dict(state)
-                    model.train(training)
-                    result = compute_shard_gradients(model, sum_loss_fn,
-                                                     weight_fn, inputs, targets)
-                    conn.send(("ok", result))
-                else:
-                    raise ValueError(f"unknown command {command[0]!r}")
-            except Exception as error:  # noqa: BLE001 — shipped to the parent
-                conn.send(("error", f"{type(error).__name__}: {error}",
-                           traceback.format_exc()))
-    except (EOFError, BrokenPipeError, ConnectionError, KeyboardInterrupt):
-        pass  # parent went away; nothing useful left to do
-    finally:
-        conn.close()
+
+        def step(state, inputs, targets, training):
+            model.load_state_dict(state)
+            model.train(training)
+            return compute_shard_gradients(model, sum_loss_fn, weight_fn,
+                                           inputs, targets)
+
+        return {"step": step}, {"rank": rank}
+
+    run_worker(rank, conn, config, "train-dp", setup)

@@ -5,8 +5,9 @@ the proposed neuron ``y = wᵀx + b + (fᵏ)ᵀΛᵏfᵏ`` with one hand-derived
 the unfused reference path builds the same computation node by node (two full
 convolutions in the conv case).  These benchmarks time a full
 forward + backward step through each path so later PRs have a fusion
-trajectory to regress against; ``benchmarks/run_bench.py`` folds the numbers
-into ``BENCH_autograd.json``.
+trajectory to regress against.  ``python -m repro bench`` runs the same
+workloads (the ``fused`` micro of :data:`repro.bench.MICROS`) and records
+them under these test names in ``BENCH_autograd.json``.
 """
 
 import numpy as np

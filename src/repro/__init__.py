@@ -24,7 +24,8 @@ The package is organised bottom-up:
   :class:`repro.Predictor`), scheduled through pluggable serving engines
   (direct lock-and-forward, or cross-request dynamic batching) and served
   over a versioned multi-model HTTP API.
-* :mod:`repro.cli`         — ``python -m repro {list,run,sweep,bench,predict,serve}``.
+* :mod:`repro.cli`         — ``python -m repro {list,run,sweep,bench,train,predict,
+  generate,serve,promote,reload}``.
 """
 
 from . import analysis, data, experiments, io, metrics, models, nn, optim, quadratic, tensor

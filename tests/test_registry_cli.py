@@ -7,6 +7,7 @@ import pytest
 
 import repro.experiments as experiments_package
 from repro import cli
+from repro.bench import MICRO_NAMES
 from repro.experiments import get_scale
 from repro.experiments.registry import (
     all_specs,
@@ -21,6 +22,12 @@ PAPER_ARTIFACTS = {"fig4", "fig5", "fig6", "fig7", "fig8", "table1", "table2", "
 
 #: Experiment-package modules that are infrastructure, not paper artifacts.
 _NON_DRIVER_MODULES = {"common", "config", "registry", "reporting", "runner"}
+
+
+def _skip_all_but(*kept: str) -> list[str]:
+    """``--skip`` flags for every bench micro a test does not check."""
+    return [flag for name in MICRO_NAMES if name not in kept
+            for flag in ("--skip", name)]
 
 
 class TestRegistry:
@@ -220,8 +227,8 @@ class TestCLI:
     def test_bench_times_experiments(self, capsys, tmp_path, counting_spec):
         json_path = tmp_path / "bench.json"
         assert cli.main(["bench", "_probe", "--scale", "smoke",
-                         "--cache-dir", str(tmp_path), "--skip-fused",
-                         "--skip-inference", "--output", str(json_path)]) == 0
+                         "--cache-dir", str(tmp_path), *_skip_all_but(),
+                         "--output", str(json_path)]) == 0
         summary = json.loads(json_path.read_text())
         assert summary["scale"] == "smoke"
         assert summary["figure_repros"]["_probe"]["rounds"] == 1
@@ -229,9 +236,8 @@ class TestCLI:
 
     def test_bench_warms_the_cache(self, capsys, tmp_path, counting_spec):
         _, runner = counting_spec
-        assert cli.main(["bench", "_probe", "--scale", "smoke", "--skip-fused",
-                         "--skip-inference", "--cache-dir", str(tmp_path),
-                         "--output", ""]) == 0
+        assert cli.main(["bench", "_probe", "--scale", "smoke", *_skip_all_but(),
+                         "--cache-dir", str(tmp_path), "--output", ""]) == 0
         assert runner.calls == 1
         # The forced bench run wrote through the cache: a subsequent run hits.
         assert cli.main(["run", "_probe", "--scale", "smoke",
@@ -241,14 +247,15 @@ class TestCLI:
 
     def test_bench_fused_gate(self, capsys, tmp_path, counting_spec):
         common = ["bench", "_probe", "--scale", "smoke", "--cache-dir", str(tmp_path),
-                  "--output", "", "--rounds", "3", "--skip-inference"]
-        assert cli.main(common + ["--min-fused-speedup", "1e9"]) == 1
+                  "--output", "", "--rounds", "3", *_skip_all_but("fused")]
+        assert cli.main(common + ["--gate", "fused=1e9"]) == 1
         assert "PERF REGRESSION" in capsys.readouterr().err
-        assert cli.main(common + ["--min-fused-speedup", "0.0"]) == 0
+        assert cli.main(common + ["--gate", "fused=0.0"]) == 0
 
     def test_bench_inference_micro_recorded(self, capsys, tmp_path, counting_spec):
         json_path = tmp_path / "bench.json"
-        assert cli.main(["bench", "_probe", "--scale", "smoke", "--skip-fused",
+        assert cli.main(["bench", "_probe", "--scale", "smoke",
+                         *_skip_all_but("inference"),
                          "--cache-dir", str(tmp_path), "--rounds", "3",
                          "--output", str(json_path)]) == 0
         summary = json.loads(json_path.read_text())
@@ -261,10 +268,11 @@ class TestCLI:
 
     def test_bench_inference_gate(self, capsys, tmp_path, counting_spec):
         common = ["bench", "_probe", "--scale", "smoke", "--cache-dir",
-                  str(tmp_path), "--output", "", "--rounds", "3", "--skip-fused"]
-        assert cli.main(common + ["--min-inference-speedup", "1e9"]) == 1
+                  str(tmp_path), "--output", "", "--rounds", "3",
+                  *_skip_all_but("inference")]
+        assert cli.main(common + ["--gate", "inference=1e9"]) == 1
         assert "PERF REGRESSION" in capsys.readouterr().err
-        assert cli.main(common + ["--min-inference-speedup", "0.0"]) == 0
+        assert cli.main(common + ["--gate", "inference=0.0"]) == 0
 
     def test_run_jobs_flag_summary_and_exit(self, capsys, tmp_path, counting_spec):
         assert cli.main(["run", "_probe", "--scale", "smoke", "--jobs", "1",

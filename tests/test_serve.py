@@ -317,10 +317,3 @@ class TestCLI:
         assert cli.main(["predict", str(tmp_path / "missing.npz"),
                          "--random", "1"]) == 1
         assert "error" in capsys.readouterr().err
-
-    def test_bench_inference_gate(self, capsys, tmp_path):
-        # The gates are mutually exclusive with their skip flags.
-        assert cli.main(["bench", "table1", "--cache-dir", str(tmp_path),
-                        "--output", "", "--skip-inference",
-                         "--min-inference-speedup", "3.0"]) == 2
-        assert "vacuous" in capsys.readouterr().err

@@ -343,12 +343,6 @@ class TestCLIPoolParsing:
                          "--model-engine", "b=pool"]) == 1
         assert "unmounted" in capsys.readouterr().err
 
-    def test_bench_pool_gate_vacuous_combination_rejected(self, capsys, tmp_path):
-        assert cli.main(["bench", "table1", "--cache-dir", str(tmp_path),
-                         "--output", "", "--skip-pool",
-                         "--min-pool-speedup", "1.0"]) == 2
-        assert "vacuous" in capsys.readouterr().err
-
 
 class TestBenchPool:
     def test_pool_benchmark_shape_and_gate(self):
@@ -362,16 +356,17 @@ class TestBenchPool:
         assert result["workers"]["1"]["rows_per_second"] > 0
         assert "speedup" in result
         summary = {"serving": {"pool": result}}
-        assert bench.check_pool_speedup(summary, 0.0001) == []
-        assert bench.check_pool_speedup(summary, 10_000.0)
-        assert bench.check_pool_speedup({"serving": {}}, 1.0) == \
+        assert bench.check_gates(summary, {"pool": 0.0001}) == []
+        assert bench.check_gates(summary, {"pool": 10_000.0})
+        assert bench.check_gates({"serving": {}}, {"pool": 1.0}) == \
             ["pool benchmark missing from the summary"]
 
     def test_pool_scaling_curve_lands_under_serving(self):
         from repro.bench import build_summary
 
-        summary = build_summary({}, {}, {}, scale="smoke", started=0.0,
-                                serving={"speedup": 4.0},
-                                pool={"speedup": 1.5, "worker_counts": [1]})
+        summary = build_summary({}, {"serving": {"speedup": 4.0},
+                                     "pool": {"speedup": 1.5,
+                                              "worker_counts": [1]}},
+                                scale="smoke", started=0.0)
         assert summary["serving"]["pool"]["speedup"] == 1.5
         assert summary["serving"]["speedup"] == 4.0
